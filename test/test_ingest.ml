@@ -148,6 +148,29 @@ let test_error_positions () =
         [ 1; 5; 100000 ])
     cases
 
+(* Fragment errors (subtree insertion) are pinned the same way: exact
+   line, column, offset and message. *)
+let test_fragment_error_positions () =
+  let cases =
+    [
+      ("<a/>\n</x>", 2, 1, 5, "unexpected end-tag in fragment");
+      ("tail<open>z", 1, 12, 11, "unexpected end of input");
+      ("<a>&bogus;</a>", 1, 11, 10, "unknown entity &bogus;");
+      ("x<!-- a -- b -->", 1, 9, 8, "'--' inside comment");
+    ]
+  in
+  List.iter
+    (fun (frag, line, col, offset, message) ->
+      let store = Parser.parse_exn "<r/>" in
+      match Parser.parse_fragment store ~parent:Store.document frag with
+      | Ok _ -> Alcotest.failf "parse_fragment accepted %S" frag
+      | Error e ->
+          Alcotest.(check int) (frag ^ " line") line e.Parser.line;
+          Alcotest.(check int) (frag ^ " col") col e.Parser.col;
+          Alcotest.(check int) (frag ^ " offset") offset e.Parser.offset;
+          Alcotest.(check string) (frag ^ " message") message e.Parser.message)
+    cases
+
 let db_digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ])
 
 let whole_db ?(config = Db.Config.default) doc =
@@ -305,6 +328,8 @@ let () =
             test_positions_consistent;
           Alcotest.test_case "error positions exact" `Quick
             test_error_positions;
+          Alcotest.test_case "fragment error positions exact" `Quick
+            test_fragment_error_positions;
         ] );
       ( "builder",
         [
