@@ -71,7 +71,6 @@ module Builder = struct
     comp_lo : Bigvec.Int.t array;
     viable : int array;
     mutable stack : frame list; (* innermost first; document at bottom *)
-    mutable root_closed : bool;
   }
 
   let create ?pool config =
@@ -112,7 +111,6 @@ module Builder = struct
               states = Array.map (fun m -> m.mid) machines;
             };
           ];
-        root_closed = false;
       }
     in
     (* slots for the pre-existing document row *)
@@ -228,8 +226,7 @@ module Builder = struct
                   p.states.(i) <- Sct.compose m.msct p.states.(i) f.states.(i))
                 t.machines;
               p.has_text <- true
-            end;
-            (match rest with [ _document ] -> t.root_closed <- true | _ -> ())
+            end
         | _ -> invalid_arg "Ingest.Builder.feed: unbalanced End_element")
     | Sax.Text txt | Sax.Cdata txt ->
         let f = top t in
@@ -242,18 +239,13 @@ module Builder = struct
           t.machines;
         f.has_text <- true
     | Sax.Comment c ->
-        (* Trailing misc is parsed but not stored, as in [Parser]. *)
-        if not t.root_closed then begin
-          ignore (Store.append_comment t.store ~parent:(top t).node c
-                  : Store.node);
-          sync_slots t
-        end
+        ignore (Store.append_comment t.store ~parent:(top t).node c
+                : Store.node);
+        sync_slots t
     | Sax.Pi { target; body } ->
-        if not t.root_closed then begin
-          ignore (Store.append_pi t.store ~parent:(top t).node ~target body
-                  : Store.node);
-          sync_slots t
-        end
+        ignore (Store.append_pi t.store ~parent:(top t).node ~target body
+                : Store.node);
+        sync_slots t
 
   let rows t = Store.node_range t.store
   let pending_rows t = Store.node_range t.store - t.row_mark

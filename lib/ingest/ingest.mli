@@ -71,7 +71,7 @@ val load :
   ?pool:Xvi_util.Pool.t ->
   ?progress:(progress -> unit) ->
   Xvi_xml.Sax.source ->
-  (Xvi_core.Db.t, Xvi_xml.Parser.error) result
+  (Xvi_core.Db.t, Xvi_xml.Sax.error) result
 (** Drive a source through {!Builder} with a batch cut every
     [batch_rows] (default 65536) appended rows.  [progress] fires at
     every batch edge and once at the end.  In-memory (non-durable)

@@ -1,29 +1,29 @@
-(** Non-validating XML 1.0 parser / shredder.
+(** Non-validating XML 1.0 shredder: a {!Sax} consumer.
 
-    Parses XML text directly into a {!Store.t} (one pass, no intermediate
-    tree) — the analogue of MonetDB/XQuery's document shredder, and the
-    "shred time" baseline of the Figure 9 experiments.
+    Replays {!Sax} events straight into {!Store} append calls (one pass,
+    no intermediate tree) — the analogue of MonetDB/XQuery's document
+    shredder, and the "shred time" baseline of the Figure 9
+    experiments.  The accepted syntax, entity resolution, whitespace
+    stripping and error positions are {!Sax}'s: this module owns no
+    lexer. *)
 
-    Supported: elements, attributes (single- or double-quoted), character data,
-    the five predefined entities, decimal and hexadecimal character
-    references, CDATA sections, comments, processing instructions, an XML
-    declaration, and a DOCTYPE declaration (skipped, including an internal
-    subset). Namespaces are not resolved; qualified names are kept as
-    opaque strings, as MonetDB/XQuery's storage does. *)
-
-type error = { line : int; col : int; offset : int; message : string }
+type error = Sax.error = {
+  line : int;
+  col : int;
+  offset : int;
+  message : string;
+}
 (** [line]/[col] are 1-based; [offset] is the 0-based absolute byte
     offset of the failure position in the input. *)
 
 val error_to_string : error -> string
-(** ["LINE:COL: MESSAGE"] — the byte offset is available on the record
-    for callers that want it (seeking in a stream, editor spans). *)
+(** ["LINE:COL: MESSAGE"]. *)
 
 val parse : ?strip_ws:bool -> string -> (Store.t, error) result
-(** [parse s] shreds document [s] into a fresh store. [strip_ws]
-    (default [true]) drops whitespace-only text nodes — boundary
-    whitespace stripping, the common XML-database shredding default; set
-    it to [false] to keep mixed-content whitespace exactly. *)
+(** [parse s] shreds document [s] into a fresh store.  [strip_ws]
+    (default [true]) drops whitespace-only text nodes, as in
+    {!Sax.make}.  Prolog comments/PIs are stored under the document
+    node; those after the root element are not stored. *)
 
 val parse_exn : ?strip_ws:bool -> string -> Store.t
 (** @raise Failure on ill-formed input. *)
@@ -32,5 +32,8 @@ val parse_fragment :
   ?strip_ws:bool -> Store.t -> parent:Store.node -> string ->
   (Store.node list, error) result
 (** [parse_fragment store ~parent s] parses a sequence of nodes (no
-    single-root requirement) and appends them as children of [parent];
-    returns the new top-level node ids. Used for subtree insertion. *)
+    single-root requirement, see {!Sax.fragment}) and appends them as
+    children of [parent]; returns the new top-level node ids in
+    document order.  The fragment is checked in full before the first
+    append, so on [Error] the store is unchanged.  Used for subtree
+    insertion. *)

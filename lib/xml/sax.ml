@@ -1,15 +1,16 @@
-(* Streaming pull tokenizer over an incremental byte source.
+(* Streaming pull tokenizer over an incremental byte source: the one XML
+   lexer.  [Parser] (whole documents and fragments into a [Store]) and
+   [Xvi_ingest] (shred + index in one pass) are both consumers of its
+   event stream, so they agree on every lexical rule by construction.
 
-   This is [Parser]'s lexer re-hosted on a refillable window: the same
-   primitives ([peek]/[advance]/[looking_at]/...), the same entity and
-   whitespace rules, the same prolog/content/epilog grammar — so the
-   event stream, replayed through the [Store] append calls [Parser]
-   makes, rebuilds a marshal-identical store.  Any behavioural
-   divergence from [Parser] here is a bug; the qcheck round-trip and
-   the ingest bit-identity differential exist to catch it. *)
+   Names and plain character runs are cut straight out of the window;
+   only a run that crosses a refill is gathered in a [Buffer]. *)
 
 type source = unit -> bytes option
 type position = { line : int; col : int; offset : int }
+type error = { line : int; col : int; offset : int; message : string }
+
+let error_to_string (e : error) = Printf.sprintf "%d:%d: %s" e.line e.col e.message
 
 type event =
   | Start_element of { name : string; attrs : (string * string) list }
@@ -19,7 +20,10 @@ type event =
   | Comment of string
   | Pi of { target : string; body : string }
 
-type mode = Prolog | Content | Epilog
+(* [Decl] (the optional XML declaration), [Prolog], [Content] (inside
+   the root element) and [Epilog] are the states of a document;
+   [Fragment] is a fragment's one state, at any depth. *)
+type mode = Decl | Prolog | Content | Epilog | Fragment
 
 type t = {
   source : source;
@@ -38,13 +42,12 @@ type t = {
   mutable stack : string list; (* open element names, innermost first *)
   mutable depth : int;
   mutable mode : mode;
-  mutable xmldecl_checked : bool;
   (* A self-closing tag yields two events from one token. *)
   mutable pending : (event * position) list;
-  mutable failed : Parser.error option;
+  mutable failed : error option;
 }
 
-exception Fail of Parser.error
+exception Fail of error
 
 let abs t = t.base + t.pos
 
@@ -52,9 +55,7 @@ let fail t fmt =
   Printf.ksprintf
     (fun message ->
       raise
-        (Fail
-           { Parser.line = t.line; col = abs t - t.bol + 1; offset = abs t;
-             message }))
+        (Fail { line = t.line; col = abs t - t.bol + 1; offset = abs t; message }))
     fmt
 
 (* --- window management --- *)
@@ -83,9 +84,8 @@ let refill t =
       Bytes.blit chunk 0 t.buf t.len n;
       t.len <- t.len + n
 
-(* Make [n] bytes available, or return false at end of input — the
-   streaming analogue of [Parser]'s bounds checks: a [looking_at] near
-   the end of input is false, never an error. *)
+(* Make [n] bytes available, or return false at end of input: a
+   [looking_at] near the end of input is false, never an error. *)
 let ensure t n =
   while t.len - t.pos < n && not t.src_eof do
     refill t
@@ -128,9 +128,10 @@ let skip_ws t =
     advance t
   done
 
-let position t = { line = t.line; col = abs t - t.bol + 1; offset = abs t }
+let position t : position =
+  { line = t.line; col = abs t - t.bol + 1; offset = abs t }
 
-(* --- tokens: transliterations of the [Parser] lexers --- *)
+(* --- runs: maximal spans of bytes that need no per-byte handling --- *)
 
 let is_name_start c =
   (c >= 'a' && c <= 'z')
@@ -141,17 +142,58 @@ let is_name_start c =
 let is_name_char c =
   is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
 
+(* Run scanners: the first window index at or after [i] that ends the
+   run, or [t.len].  No run contains '\n', so skipping one needs no
+   line bookkeeping. *)
+let rec name_end t i =
+  if i < t.len && is_name_char (Bytes.get t.buf i) then name_end t (i + 1)
+  else i
+
+let rec text_end t i =
+  if i < t.len then
+    match Bytes.get t.buf i with
+    | '<' | '&' | '\n' -> i
+    | _ -> text_end t (i + 1)
+  else i
+
+let rec attr_end quote t i =
+  if i < t.len then
+    match Bytes.get t.buf i with
+    | '<' | '&' | '\n' -> i
+    | c when c = quote -> i
+    | _ -> attr_end quote t (i + 1)
+  else i
+
+(* Consume the run [scan] delimits at the current position.  A run that
+   ends inside the window is one [Bytes.sub_string]; one that reaches
+   the window's end may go on after a refill, so only then are its
+   pieces gathered in a buffer. *)
+let take_run t scan =
+  let stop = scan t t.pos in
+  if stop < t.len || t.src_eof then begin
+    let s = Bytes.sub_string t.buf t.pos (stop - t.pos) in
+    t.pos <- stop;
+    s
+  end
+  else begin
+    let b = Buffer.create 64 in
+    let rec go stop =
+      Buffer.add_subbytes b t.buf t.pos (stop - t.pos);
+      t.pos <- stop;
+      if stop = t.len && ensure t 1 then go (scan t t.pos)
+    in
+    go stop;
+    Buffer.contents b
+  end
+
+let is_blank s = String.for_all is_ws s
+
+(* --- tokens --- *)
+
 let lex_name t =
   if at_eof t || not (is_name_start (peek t)) then fail t "expected a name";
-  let buf = Buffer.create 12 in
-  while (not (at_eof t)) && is_name_char (peek t) do
-    Buffer.add_char buf (peek t);
-    advance t
-  done;
-  Buffer.contents buf
+  take_run t name_end
 
-(* Same encoder as [Parser.add_utf8]; duplicated because it is not part
-   of the parser's public interface. *)
 let add_utf8 buf code =
   if code < 0 || code > 0x10FFFF then invalid_arg "add_utf8"
   else if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -171,6 +213,7 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* Resolve a reference after '&' has been consumed. *)
 let lex_reference t buf =
   if at_eof t then fail t "unterminated entity reference";
   if peek t = '#' then begin
@@ -206,44 +249,63 @@ let lex_reference t buf =
 let lex_attr_value t =
   let quote = next_ch t in
   if quote <> '"' && quote <> '\'' then fail t "expected quoted attribute value";
-  let buf = Buffer.create 16 in
-  let rec go () =
-    let c = next_ch t in
-    if c = quote then ()
-    else begin
-      (match c with
-      | '&' -> lex_reference t buf
-      | '<' -> fail t "'<' in attribute value"
-      | c -> Buffer.add_char buf c);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-(* Returns [None] when the run was whitespace-only and stripped.  The
-   entity quirk is [Parser]'s: any reference marks the run non-blank
-   even if it resolves to whitespace. *)
-let lex_text t =
-  let buf = Buffer.create 32 in
-  let only_ws = ref true in
-  let rec go () =
-    if (not (at_eof t)) && peek t <> '<' then begin
-      let c = next_ch t in
-      (match c with
+  let scan = attr_end quote in
+  let run = take_run t scan in
+  if (not (at_eof t)) && peek t = quote then begin
+    advance t;
+    run
+  end
+  else begin
+    let buf = Buffer.create (String.length run + 16) in
+    Buffer.add_string buf run;
+    let rec go () =
+      match next_ch t with
+      | c when c = quote -> ()
       | '&' ->
-          only_ws := false;
-          lex_reference t buf
+          lex_reference t buf;
+          go ()
+      | '<' -> fail t "'<' in attribute value"
       | c ->
-          if not (is_ws c) then only_ws := false;
-          Buffer.add_char buf c);
-      go ()
-    end
-  in
-  go ();
-  if Buffer.length buf = 0 then None
-  else if !only_ws && t.strip_ws then None
-  else Some (Buffer.contents buf)
+          Buffer.add_char buf c;
+          Buffer.add_string buf (take_run t scan);
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
+
+(* Character data up to the next '<' or end of input.  Returns [None]
+   when the run is whitespace-only and stripped; any entity reference
+   marks the run non-blank even if it resolves to whitespace. *)
+let lex_text t =
+  let run = take_run t text_end in
+  if at_eof t || peek t = '<' then
+    if t.strip_ws && is_blank run then None else Some run
+  else begin
+    let buf = Buffer.create (String.length run + 32) in
+    Buffer.add_string buf run;
+    let only_ws = ref (is_blank run) in
+    let rec go () =
+      if not (at_eof t) then
+        match peek t with
+        | '<' -> ()
+        | '&' ->
+            advance t;
+            only_ws := false;
+            lex_reference t buf;
+            go ()
+        | c ->
+            (* a newline, or the run after a reference *)
+            if c = '\n' then advance t;
+            let run = take_run t text_end in
+            if not (is_blank run) then only_ws := false;
+            if c = '\n' then Buffer.add_char buf c;
+            Buffer.add_string buf run;
+            go ()
+    in
+    go ();
+    if !only_ws && t.strip_ws then None else Some (Buffer.contents buf)
+  end
 
 let lex_comment t =
   (* after "<!--" *)
@@ -335,30 +397,18 @@ let lex_attributes t =
 let start_tag t p =
   let name = lex_name t in
   let attrs, self_closing = lex_attributes t in
-  if self_closing then begin
-    t.pending <- [ (End_element name, p) ];
-    if t.depth = 0 then t.mode <- Epilog
-  end
+  if self_closing then t.pending <- [ (End_element name, p) ]
   else begin
     t.stack <- name :: t.stack;
-    t.depth <- t.depth + 1;
-    t.mode <- Content
+    t.depth <- t.depth + 1
   end;
+  (match t.mode with
+  | Prolog -> t.mode <- (if self_closing then Epilog else Content)
+  | Decl | Content | Epilog | Fragment -> ());
   (Start_element { name; attrs }, p)
 
 let rec step_prolog t =
   skip_ws t;
-  if not t.xmldecl_checked then begin
-    t.xmldecl_checked <- true;
-    (* The XML declaration is consumed and dropped, exactly like
-       [Parser.parse_prolog] — including its acceptance of any PI whose
-       target merely starts with "xml". *)
-    if looking_at t "<?xml" then begin
-      skip_string t "<?";
-      ignore (lex_pi t : string * string)
-    end;
-    skip_ws t
-  end;
   let p = position t in
   if looking_at t "<!--" then begin
     skip_string t "<!--";
@@ -380,68 +430,68 @@ let rec step_prolog t =
     Some (start_tag t p)
   end
 
+(* Content of an element, or a fragment's content at any depth: the
+   two differ only at depth 0, where a fragment may end or meet a
+   stray end tag. *)
 let rec step_content t =
   let p = position t in
-  if at_eof t then fail t "unexpected end of input"
-  else if peek t <> '<' then begin
-    match lex_text t with
-    | Some txt -> Some (Text txt, p)
-    | None -> step_content t
-  end
-  else if looking_at t "</" then begin
-    skip_string t "</";
-    let close = lex_name t in
-    (match t.stack with
-    | open_tag :: rest ->
-        if not (String.equal close open_tag) then
-          fail t "mismatched end tag </%s> for <%s>" close open_tag;
-        skip_ws t;
-        expect t '>';
-        t.stack <- rest;
-        t.depth <- t.depth - 1;
-        if t.depth = 0 then t.mode <- Epilog
-    | [] ->
-        (* [Content] mode implies a non-empty stack. *)
-        assert false);
-    Some (End_element close, p)
-  end
-  else if looking_at t "<!--" then begin
-    skip_string t "<!--";
-    Some (Comment (lex_comment t), p)
-  end
-  else if looking_at t "<![CDATA[" then begin
-    skip_string t "<![CDATA[";
-    let txt = lex_cdata t in
-    if String.length txt > 0 then Some (Cdata txt, p) else step_content t
-  end
-  else if looking_at t "<?" then begin
-    skip_string t "<?";
-    let target, body = lex_pi t in
-    Some (Pi { target; body }, p)
-  end
-  else begin
-    expect t '<';
-    Some (start_tag t p)
-  end
+  if at_eof t then
+    match t.stack with
+    | [] -> None
+    | _ :: _ -> fail t "unexpected end of input"
+  else if peek t <> '<' then
+    match lex_text t with Some txt -> Some (Text txt, p) | None -> step_content t
+  else
+    match if ensure t 2 then Bytes.get t.buf (t.pos + 1) else '<' with
+    | '/' -> (
+        match t.stack with
+        | [] -> fail t "unexpected end-tag in fragment"
+        | open_tag :: rest ->
+            skip_string t "</";
+            let close = lex_name t in
+            if not (String.equal close open_tag) then
+              fail t "mismatched end tag </%s> for <%s>" close open_tag;
+            skip_ws t;
+            expect t '>';
+            t.stack <- rest;
+            t.depth <- t.depth - 1;
+            if t.depth = 0 && t.mode = Content then t.mode <- Epilog;
+            Some (End_element close, p))
+    | '!' when looking_at t "<!--" ->
+        skip_string t "<!--";
+        Some (Comment (lex_comment t), p)
+    | '!' when looking_at t "<![CDATA[" ->
+        skip_string t "<![CDATA[";
+        let txt = lex_cdata t in
+        if String.length txt > 0 then Some (Cdata txt, p) else step_content t
+    | '?' ->
+        skip_string t "<?";
+        let target, body = lex_pi t in
+        Some (Pi { target; body }, p)
+    | _ ->
+        advance t;
+        Some (start_tag t p)
 
-let step_epilog t =
+(* After the root element: comments and PIs are lexed and checked but
+   not reported — no consumer stores trailing misc. *)
+let rec step_epilog t =
   skip_ws t;
-  let p = position t in
   if at_eof t then None
   else if looking_at t "<!--" then begin
     skip_string t "<!--";
-    Some (Comment (lex_comment t), p)
+    ignore (lex_comment t : string);
+    step_epilog t
   end
   else if looking_at t "<?" then begin
     skip_string t "<?";
-    let target, body = lex_pi t in
-    Some (Pi { target; body }, p)
+    ignore (lex_pi t : string * string);
+    step_epilog t
   end
   else fail t "content after the root element"
 
 (* --- public interface --- *)
 
-let make ?(strip_ws = true) source =
+let start mode ?(strip_ws = true) source =
   {
     source;
     strip_ws;
@@ -454,11 +504,29 @@ let make ?(strip_ws = true) source =
     bol = 0;
     stack = [];
     depth = 0;
-    mode = Prolog;
-    xmldecl_checked = false;
+    mode;
     pending = [];
     failed = None;
   }
+
+let make = start Decl
+let fragment = start Fragment
+
+let step t =
+  match t.mode with
+  | Decl ->
+      (* The XML declaration is consumed and dropped — including any PI
+         whose target merely starts with "xml". *)
+      t.mode <- Prolog;
+      skip_ws t;
+      if looking_at t "<?xml" then begin
+        skip_string t "<?";
+        ignore (lex_pi t : string * string)
+      end;
+      step_prolog t
+  | Prolog -> step_prolog t
+  | Content | Fragment -> step_content t
+  | Epilog -> step_epilog t
 
 let next t =
   match t.failed with
@@ -469,11 +537,7 @@ let next t =
           t.pending <- rest;
           Ok (Some ev)
       | [] -> (
-          try
-            match t.mode with
-            | Prolog -> Ok (step_prolog t)
-            | Content -> Ok (step_content t)
-            | Epilog -> Ok (step_epilog t)
+          try Ok (step t)
           with Fail e ->
             t.failed <- Some e;
             Error e))
@@ -481,13 +545,19 @@ let next t =
 let consumed t = abs t
 let depth t = t.depth
 
+(* Handed out in slices through one reused buffer, so the window never
+   holds more than a slice plus the token in progress. *)
 let of_string s =
-  let sent = ref false in
+  let slice = 65536 in
+  let buf = Bytes.create (min slice (String.length s)) in
+  let pos = ref 0 in
   fun () ->
-    if !sent then None
+    let n = min slice (String.length s - !pos) in
+    if n <= 0 then None
     else begin
-      sent := true;
-      Some (Bytes.of_string s)
+      Bytes.blit_string s !pos buf 0 n;
+      pos := !pos + n;
+      Some (if n = Bytes.length buf then buf else Bytes.sub buf 0 n)
     end
 
 let of_channel ?(chunk_size = 65536) ic =

@@ -543,6 +543,56 @@ let test_name_index_maintenance () =
   ok_or_fail "validate after insert" (NI.validate ni store);
   ok_or_fail "db validate" (Db.validate db)
 
+(* --- fragment insertion --- *)
+
+(* A malformed fragment is rejected before the first append: the store
+   and every index are exactly as they were. *)
+let test_insert_rejected_atomically () =
+  let db = Db.of_store (Parser.parse_exn "<a><b>x</b></a>") in
+  let store = Db.store db in
+  let b = List.hd (Db.elements_named db "b") in
+  let range = Store.node_range store in
+  (match Db.insert_xml db ~parent:b "tail<open>z" with
+  | Ok _ -> Alcotest.fail "unterminated fragment accepted"
+  | Error _ -> ());
+  Alcotest.(check int) "node range unchanged" range (Store.node_range store);
+  Alcotest.(check string) "string value unchanged" "x"
+    (Store.string_value store Store.document);
+  ok_or_fail "db validate" (Db.validate db)
+
+(* The fresh roots come from the fragment alone, not from a diff of the
+   parent's children, so a wide parent costs nothing extra. *)
+let test_insert_under_wide_parent () =
+  let k = 20_000 in
+  let doc = Buffer.create (k * 8) in
+  Buffer.add_string doc "<r>";
+  for _ = 1 to k do
+    Buffer.add_string doc "<c>1</c>"
+  done;
+  Buffer.add_string doc "</r>";
+  let db = Db.of_store (Parser.parse_exn (Buffer.contents doc)) in
+  let store = Db.store db in
+  let r = List.hd (Db.elements_named db "r") in
+  let first = Store.node_range store in
+  let roots =
+    match Db.insert_xml db ~parent:r "<i>2</i>tail<!--c-->" with
+    | Ok roots -> roots
+    | Error e -> Alcotest.failf "insert: %s" (Parser.error_to_string e)
+  in
+  (* <i> at [first], its text at [first + 1], then the text and the
+     comment *)
+  Alcotest.(check (list int)) "roots are the appended top-level nodes"
+    [ first; first + 2; first + 3 ] roots;
+  Alcotest.(check int) "node range" (first + 4) (Store.node_range store);
+  let expected = String.make k '1' ^ "2tail" in
+  Alcotest.(check string) "parent string value" expected
+    (Store.string_value store r);
+  Alcotest.(check string) "document string value" expected
+    (Store.string_value store Store.document);
+  Alcotest.(check (list int)) "lookup of the new text" [ first; first + 1 ]
+    (Db.lookup_string db "2");
+  ok_or_fail "db validate" (Db.validate db)
+
 let () =
   Alcotest.run "indices"
     (base_suites @ extra_suites
@@ -551,5 +601,12 @@ let () =
           [
             Alcotest.test_case "basics" `Quick test_name_index_basics;
             Alcotest.test_case "maintenance" `Quick test_name_index_maintenance;
+          ] );
+        ( "fragment-insert",
+          [
+            Alcotest.test_case "rejected insert is atomic" `Quick
+              test_insert_rejected_atomically;
+            Alcotest.test_case "wide parent" `Quick
+              test_insert_under_wide_parent;
           ] );
       ])

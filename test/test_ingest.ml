@@ -148,6 +148,24 @@ let test_error_positions () =
         [ 1; 5; 100000 ])
     cases
 
+(* Comments and PIs after the root element are checked but never
+   reported: no consumer stores them. *)
+let test_trailing_misc () =
+  let doc = "<!--p--><a/>\n<!-- t --><?pi x?>  " in
+  List.iter
+    (fun n ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "chunk %d" n)
+        [ "comment(\"p\")"; "<a >"; "</a>" ]
+        (List.map (fun (e, _) -> show_event e) (events_exn (chunked n doc))))
+    [ 1; 3; 100000 ];
+  match events_of (Sax.of_string "<a/><!-- x -- y -->") with
+  | Ok _ -> Alcotest.fail "bad trailing comment accepted"
+  | Error e ->
+      Alcotest.(check (pair int string))
+        "trailing comment checked" (11, "'--' inside comment")
+        (e.Sax.offset, e.Sax.message)
+
 (* Fragment errors (subtree insertion) are pinned the same way: exact
    line, column, offset and message. *)
 let test_fragment_error_positions () =
@@ -161,14 +179,27 @@ let test_fragment_error_positions () =
   in
   List.iter
     (fun (frag, line, col, offset, message) ->
+      let check what (e : Parser.error) =
+        Alcotest.(check int) (what ^ " line") line e.Parser.line;
+        Alcotest.(check int) (what ^ " col") col e.Parser.col;
+        Alcotest.(check int) (what ^ " offset") offset e.Parser.offset;
+        Alcotest.(check string) (what ^ " message") message e.Parser.message
+      in
       let store = Parser.parse_exn "<r/>" in
-      match Parser.parse_fragment store ~parent:Store.document frag with
+      (match Parser.parse_fragment store ~parent:Store.document frag with
       | Ok _ -> Alcotest.failf "parse_fragment accepted %S" frag
-      | Error e ->
-          Alcotest.(check int) (frag ^ " line") line e.Parser.line;
-          Alcotest.(check int) (frag ^ " col") col e.Parser.col;
-          Alcotest.(check int) (frag ^ " offset") offset e.Parser.offset;
-          Alcotest.(check string) (frag ^ " message") message e.Parser.message)
+      | Error e -> check frag e);
+      List.iter
+        (fun n ->
+          let sax = Sax.fragment (chunked n frag) in
+          let rec drain () =
+            match Sax.next sax with
+            | Ok (Some _) -> drain ()
+            | Ok None -> Alcotest.failf "sax fragment accepted %S" frag
+            | Error e -> check (Printf.sprintf "%s chunk %d" frag n) e
+          in
+          drain ())
+        [ 1; 5; 100000 ])
     cases
 
 let db_digest db = Digest.string (Marshal.to_string db [ Marshal.Closures ])
@@ -330,6 +361,8 @@ let () =
             test_error_positions;
           Alcotest.test_case "fragment error positions exact" `Quick
             test_fragment_error_positions;
+          Alcotest.test_case "trailing misc checked, not reported" `Quick
+            test_trailing_misc;
         ] );
       ( "builder",
         [

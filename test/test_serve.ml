@@ -450,11 +450,22 @@ let test_engine_invalid_target () =
       | Error e ->
           Alcotest.failf "wanted Invalid, got %s" (Engine.error_to_string e)
       | Ok _ -> Alcotest.fail "element accepted as text target");
-      match Engine.insert_xml engine ~parent:elem "<open>" with
+      let range = Store.node_range (Db.store (Engine.snapshot engine)) in
+      (match Engine.insert_xml engine ~parent:elem "tail<open>z" with
       | Error (Engine.Parse _) -> ()
       | Error e ->
           Alcotest.failf "wanted Parse, got %s" (Engine.error_to_string e)
-      | Ok _ -> Alcotest.fail "unbalanced fragment accepted)")
+      | Ok _ -> Alcotest.fail "unbalanced fragment accepted");
+      (* the rejected fragment left nothing behind: the next published
+         epoch holds exactly one more node *)
+      ignore (ok_exn "insert" (Engine.insert_xml engine ~parent:elem "<ok/>")
+              : Store.node list * int);
+      let snap = Engine.snapshot engine in
+      Alcotest.(check int) "one node added" (range + 1)
+        (Store.node_range (Db.store snap));
+      match Db.validate snap with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "snapshot validate: %s" m)
 
 let test_engine_structural () =
   with_mem_engine small_xml (fun engine ->
