@@ -11,8 +11,9 @@
    --scale=F sets the fraction of the paper's document sizes to generate
    (default 0.01, i.e. the 2 GB Wiki becomes ~20 MB); --reps=N the
    repetitions for timed runs (paper: 3 for creation, 20 for updates;
-   default here 3); --quick shrinks the query experiment to a CI smoke
-   run (small document, one rep). *)
+   default here 3); --quick shrinks the experiments to a CI smoke run
+   (small documents, one rep) and writes their BENCH_*.json under
+   _build/bench-quick/ instead of over the tracked results. *)
 
 module Store = Xvi_xml.Store
 module Parser = Xvi_xml.Parser
@@ -832,6 +833,24 @@ let queries () =
    speedup land in BENCH_query.json for trend tracking. *)
 let quick = ref false
 
+(* Full runs refresh the tracked BENCH_*.json files in the working
+   directory; --quick smoke runs write under _build/bench-quick/ so
+   they never overwrite the committed results. *)
+let write_result name json =
+  let path =
+    if !quick then begin
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; Filename.concat "_build" "bench-quick" ];
+      Filename.concat (Filename.concat "_build" "bench-quick") name
+    end
+    else name
+  in
+  let oc = open_out path in
+  output_string oc json;
+  close_out oc;
+  print_endline ("wrote " ^ path)
+
 let query_bench () =
   print_endline "== Query planner: streaming merges vs naive intersection ==";
   let module Db = Xvi_core.Db in
@@ -938,10 +957,7 @@ let query_bench () =
       factor (Store.live_count store) reps
       (String.concat ",\n" (List.rev !json_cases))
   in
-  let oc = open_out "BENCH_query.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_query.json";
+  write_result "BENCH_query.json" json;
   print_newline ()
 
 (* ====================================================== parallel ===== *)
@@ -1143,10 +1159,7 @@ let wal_bench () =
                     st.Txn.wal_deferred)
                 results))
       in
-      let oc = open_out "BENCH_wal.json" in
-      output_string oc json;
-      close_out oc;
-      print_endline "wrote BENCH_wal.json";
+      write_result "BENCH_wal.json" json;
       print_newline ())
 
 (* ==================================================== serve ===== *)
@@ -1372,10 +1385,7 @@ let serve_bench () =
                 deferred)
             commit_rows))
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_serve.json";
+  write_result "BENCH_serve.json" json;
   print_newline ()
 
 (* ====================================================== repl ===== *)
@@ -1630,10 +1640,7 @@ let repl_bench () =
                 followers qps (qps /. qps_of 0))
             read_rows))
   in
-  let oc = open_out "BENCH_repl.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_repl.json";
+  write_result "BENCH_repl.json" json;
   print_newline ()
 
 (* ====================================================== storage ===== *)
@@ -1946,10 +1953,7 @@ let storage_bench () =
       (old_post_ms /. new_post_ms)
       migration_ok cursor_step_ns check_step_ns
   in
-  let oc = open_out "BENCH_storage.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_storage.json";
+  write_result "BENCH_storage.json" json;
   print_newline ()
 
 (* Streaming bulk ingest experiment: the whole-document front door
@@ -2181,10 +2185,7 @@ let ingest_bench () =
       (!stream_batches + 1)
       durable_ms (mb_s durable_ms) bit_identical ratio absolute_ratio
   in
-  let oc = open_out "BENCH_ingest.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_ingest.json";
+  write_result "BENCH_ingest.json" json;
   print_newline ()
 
 (* ====================================================== main ===== *)

@@ -91,8 +91,6 @@ let assemble ~config ~store ~strings ~typed =
 let of_xml ?config src =
   Result.map (fun store -> of_store ?config store) (Parser.parse src)
 
-let of_xml_exn ?config src = of_store ?config (Parser.parse_exn src)
-
 (* The database splits into the off-heap columnar store and its
    GC-heap "shell" (configuration plus the indexes). The split is what
    both replication paths ride on: [copy] snapshots the store

@@ -72,11 +72,6 @@ val assemble :
 val of_xml : ?config:Config.t -> string -> (t, Xvi_xml.Parser.error) result
 (** Shred an XML document and index it. *)
 
-val of_xml_exn : ?config:Config.t -> string -> t
-  [@@deprecated
-    "raises through the public boundary; use Db.of_xml (or Xvi_serve.Engine) \
-     and handle the Error case"]
-
 val copy : t -> t
 (** A logically independent replica: the off-heap store is snapshotted
     copy-on-write (O(chunks), sharing column chunks until either side

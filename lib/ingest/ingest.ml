@@ -73,6 +73,27 @@ module Builder = struct
     mutable stack : frame list; (* innermost first; document at bottom *)
   }
 
+  let frame machines node =
+    {
+      node;
+      has_text = false;
+      hash = Hash.empty;
+      states = Array.map (fun m -> m.mid) machines;
+    }
+
+  (* One staging slot per store row, identity until assigned. *)
+  let sync_slots t =
+    let range = Store.node_range t.store in
+    while Bigvec.Int.length t.hv < range do
+      Bigvec.Int.push t.hv (Hash.to_int Hash.empty)
+    done;
+    Array.iteri
+      (fun i v ->
+        while Bigvec.Int.length v < range do
+          Bigvec.Int.push v t.machines.(i).mid
+        done)
+      t.sv
+
   let create ?pool config =
     let machines =
       Array.of_list
@@ -102,46 +123,16 @@ module Builder = struct
         comp_hi = Array.init k (fun _ -> Bigvec.Int.create ());
         comp_lo = Array.init k (fun _ -> Bigvec.Int.create ());
         viable = Array.make k 0;
-        stack =
-          [
-            {
-              node = Store.document;
-              has_text = false;
-              hash = Hash.empty;
-              states = Array.map (fun m -> m.mid) machines;
-            };
-          ];
+        stack = [ frame machines Store.document ];
       }
     in
-    (* slots for the pre-existing document row *)
-    let range = Store.node_range store in
-    while Bigvec.Int.length t.hv < range do
-      Bigvec.Int.push t.hv (Hash.to_int Hash.empty)
-    done;
-    Array.iteri
-      (fun i v ->
-        while Bigvec.Int.length v < range do
-          Bigvec.Int.push v machines.(i).mid
-        done)
-      t.sv;
+    sync_slots t (* the pre-existing document row *);
     t
 
   let top t =
     match t.stack with
     | f :: _ -> f
     | [] -> invalid_arg "Ingest.Builder: no open node"
-
-  let sync_slots t =
-    let range = Store.node_range t.store in
-    while Bigvec.Int.length t.hv < range do
-      Bigvec.Int.push t.hv (Hash.to_int Hash.empty)
-    done;
-    Array.iteri
-      (fun i v ->
-        while Bigvec.Int.length v < range do
-          Bigvec.Int.push v t.machines.(i).mid
-        done)
-      t.sv
 
   let stage_hash t n h =
     Bigvec.Int.set t.hv n (Hash.to_int h);
@@ -186,6 +177,25 @@ module Builder = struct
     typed_finalize t n states (fun () -> txt);
     (h, states)
 
+  (* Fold a finalized child's fields into its parent's accumulator. *)
+  let absorb t p h states =
+    p.hash <- Hash.combine p.hash h;
+    Array.iteri
+      (fun i m -> p.states.(i) <- Sct.compose m.msct p.states.(i) states.(i))
+      t.machines;
+    p.has_text <- true
+
+  (* Finalize an element (at its end tag) or the document (at end of
+     stream): its field is final. *)
+  let close_frame t f =
+    posting t f.hash f.node;
+    if f.has_text then begin
+      stage_hash t f.node f.hash;
+      Array.iteri (fun i st -> stage_state t i f.node st) f.states
+    end;
+    typed_finalize t f.node f.states (fun () ->
+        Store.string_value t.store f.node)
+
   let feed t ev =
     match ev with
     | Sax.Start_element { name; attrs } ->
@@ -200,44 +210,20 @@ module Builder = struct
             sync_slots t;
             ignore (leaf t a av : Hash.t * int array))
           attrs;
-        t.stack <-
-          {
-            node = e;
-            has_text = false;
-            hash = Hash.empty;
-            states = Array.map (fun m -> m.mid) t.machines;
-          }
-          :: t.stack
+        t.stack <- frame t.machines e :: t.stack
     | Sax.End_element _ -> (
         match t.stack with
         | f :: (p :: _ as rest) ->
             t.stack <- rest;
-            posting t f.hash f.node;
-            if f.has_text then begin
-              stage_hash t f.node f.hash;
-              Array.iteri (fun i st -> stage_state t i f.node st) f.states
-            end;
-            typed_finalize t f.node f.states (fun () ->
-                Store.string_value t.store f.node);
-            if f.has_text then begin
-              p.hash <- Hash.combine p.hash f.hash;
-              Array.iteri
-                (fun i m ->
-                  p.states.(i) <- Sct.compose m.msct p.states.(i) f.states.(i))
-                t.machines;
-              p.has_text <- true
-            end
+            close_frame t f;
+            if f.has_text then absorb t p f.hash f.states
         | _ -> invalid_arg "Ingest.Builder.feed: unbalanced End_element")
     | Sax.Text txt | Sax.Cdata txt ->
         let f = top t in
         let n = Store.append_text t.store ~parent:f.node txt in
         sync_slots t;
         let h, states = leaf t n txt in
-        f.hash <- Hash.combine f.hash h;
-        Array.iteri
-          (fun i m -> f.states.(i) <- Sct.compose m.msct f.states.(i) states.(i))
-          t.machines;
-        f.has_text <- true
+        absorb t f h states
     | Sax.Comment c ->
         ignore (Store.append_comment t.store ~parent:(top t).node c
                 : Store.node);
@@ -367,16 +353,8 @@ module Builder = struct
       key
 
   let finish t =
-    (* finalize the document node *)
     (match t.stack with
-    | [ d ] ->
-        posting t d.hash d.node;
-        if d.has_text then begin
-          stage_hash t d.node d.hash;
-          Array.iteri (fun i st -> stage_state t i d.node st) d.states
-        end;
-        typed_finalize t d.node d.states (fun () ->
-            Store.string_value t.store d.node)
+    | [ d ] -> close_frame t d
     | _ -> invalid_arg "Ingest.Builder.finish: unclosed elements");
     t.stack <- [];
     flush_batch t;

@@ -298,11 +298,6 @@ let open_ ?config ?(sync_mode = Wal.Always) ?auto_checkpoint_bytes dir =
                              ~last_checkpoint_lsn ~last_replay:(Some report) ())
                     ))))
 
-let open_exn ?config ?sync_mode ?auto_checkpoint_bytes dir =
-  match open_ ?config ?sync_mode ?auto_checkpoint_bytes dir with
-  | Ok t -> t
-  | Error m -> failwith ("Durable.open_: " ^ m)
-
 (* --- durable update operations --- *)
 
 let update_texts t writes =

@@ -45,16 +45,6 @@ val open_ :
     contradicts the database. A missing log file (e.g. after copying
     only the snapshot) is tolerated — there is nothing to replay. *)
 
-val open_exn :
-  ?config:Xvi_core.Db.Config.t ->
-  ?sync_mode:Wal.sync_mode ->
-  ?auto_checkpoint_bytes:int ->
-  string ->
-  t
-  [@@deprecated
-    "raises through the public boundary; use Durable.open_ (or \
-     Xvi_serve.Engine.open_) and handle the Error case"]
-
 val is_durable_dir : string -> bool
 (** A directory containing a snapshot — how the CLI tells a durable
     directory from a bare snapshot file. *)

@@ -149,20 +149,16 @@ let rec name_end t i =
   if i < t.len && is_name_char (Bytes.get t.buf i) then name_end t (i + 1)
   else i
 
-let rec text_end t i =
+(* Character data: text runs end at '<', attribute values also at
+   their [quote]. *)
+let rec chars_end quote t i =
   if i < t.len then
     match Bytes.get t.buf i with
     | '<' | '&' | '\n' -> i
-    | _ -> text_end t (i + 1)
+    | c -> if c = quote then i else chars_end quote t (i + 1)
   else i
 
-let rec attr_end quote t i =
-  if i < t.len then
-    match Bytes.get t.buf i with
-    | '<' | '&' | '\n' -> i
-    | c when c = quote -> i
-    | _ -> attr_end quote t (i + 1)
-  else i
+let text_end = chars_end '<'
 
 (* Consume the run [scan] delimits at the current position.  A run that
    ends inside the window is one [Bytes.sub_string]; one that reaches
@@ -249,7 +245,7 @@ let lex_reference t buf =
 let lex_attr_value t =
   let quote = next_ch t in
   if quote <> '"' && quote <> '\'' then fail t "expected quoted attribute value";
-  let scan = attr_end quote in
+  let scan = chars_end quote in
   let run = take_run t scan in
   if (not (at_eof t)) && peek t = quote then begin
     advance t;
@@ -261,12 +257,10 @@ let lex_attr_value t =
     let rec go () =
       match next_ch t with
       | c when c = quote -> ()
-      | '&' ->
-          lex_reference t buf;
-          go ()
       | '<' -> fail t "'<' in attribute value"
       | c ->
-          Buffer.add_char buf c;
+          (* a newline, a reference, or the byte after one *)
+          if c = '&' then lex_reference t buf else Buffer.add_char buf c;
           Buffer.add_string buf (take_run t scan);
           go ()
     in
@@ -285,69 +279,44 @@ let lex_text t =
     let buf = Buffer.create (String.length run + 32) in
     Buffer.add_string buf run;
     let only_ws = ref (is_blank run) in
-    let rec go () =
-      if not (at_eof t) then
-        match peek t with
-        | '<' -> ()
-        | '&' ->
-            advance t;
-            only_ws := false;
-            lex_reference t buf;
-            go ()
-        | c ->
-            (* a newline, or the run after a reference *)
-            if c = '\n' then advance t;
-            let run = take_run t text_end in
-            if not (is_blank run) then only_ws := false;
-            if c = '\n' then Buffer.add_char buf c;
-            Buffer.add_string buf run;
-            go ()
-    in
-    go ();
+    while (not (at_eof t)) && peek t <> '<' do
+      (* a newline, a reference, or the byte after one *)
+      (match next_ch t with
+      | '&' ->
+          only_ws := false;
+          lex_reference t buf
+      | c -> Buffer.add_char buf c);
+      let run = take_run t text_end in
+      if not (is_blank run) then only_ws := false;
+      Buffer.add_string buf run
+    done;
     if !only_ws && t.strip_ws then None else Some (Buffer.contents buf)
   end
+
+(* Bytes up to [close], which is consumed. *)
+let lex_until t close =
+  let buf = Buffer.create 32 in
+  while not (looking_at t close) do
+    Buffer.add_char buf (next_ch t)
+  done;
+  skip_string t close;
+  Buffer.contents buf
 
 let lex_comment t =
   (* after "<!--" *)
   let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at t "-->" then skip_string t "-->"
-    else begin
-      if looking_at t "--" then fail t "'--' inside comment";
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let lex_cdata t =
-  (* after "<![CDATA[" *)
-  let buf = Buffer.create 32 in
-  let rec go () =
-    if looking_at t "]]>" then skip_string t "]]>"
-    else begin
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
+  while not (looking_at t "-->") do
+    if looking_at t "--" then fail t "'--' inside comment";
+    Buffer.add_char buf (next_ch t)
+  done;
+  skip_string t "-->";
   Buffer.contents buf
 
 let lex_pi t =
   (* after "<?" *)
   let target = lex_name t in
   skip_ws t;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if looking_at t "?>" then skip_string t "?>"
-    else begin
-      Buffer.add_char buf (next_ch t);
-      go ()
-    end
-  in
-  go ();
-  (target, Buffer.contents buf)
+  (target, lex_until t "?>")
 
 let skip_doctype t =
   (* after "<!DOCTYPE" *)
@@ -462,7 +431,7 @@ let rec step_content t =
         Some (Comment (lex_comment t), p)
     | '!' when looking_at t "<![CDATA[" ->
         skip_string t "<![CDATA[";
-        let txt = lex_cdata t in
+        let txt = lex_until t "]]>" in
         if String.length txt > 0 then Some (Cdata txt, p) else step_content t
     | '?' ->
         skip_string t "<?";

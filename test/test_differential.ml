@@ -5,6 +5,7 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Lexical_types = Xvi_core.Lexical_types
 module Oracle = Xvi_check.Oracle
 module Runner = Xvi_check.Runner
@@ -30,7 +31,7 @@ let range_doc =
    </f><g>1e2</g><h/></doc>"
 
 let with_range_db f =
-  let db = Db.of_xml_exn range_doc in
+  let db = Db.of_store (Parser.parse_exn range_doc) in
   f db (Db.store db)
 
 let double_spec = Lexical_types.double ()
@@ -117,7 +118,10 @@ let find_text store value =
 let test_mixed_content_regression () =
   (* Figure 1 of the paper: the string value of <age> interleaves child
      element text and bare text — "4" ^ "2" with an empty <years/> *)
-  let db = Db.of_xml_exn "<doc><age><decades>4</decades>2<years/></age></doc>" in
+  let db =
+    Db.of_store
+      (Parser.parse_exn "<doc><age><decades>4</decades>2<years/></age></doc>")
+  in
   let store = Db.store db in
   let age = match Oracle.elements_named store "age" with
     | [ n ] -> n
@@ -149,8 +153,9 @@ let test_fault_sweep_exhaustive () =
   (* with no SCT tables the snapshot is a few KiB: every truncation
      length and every byte flip fits in the tier-1 budget *)
   let db =
-    Db.of_xml_exn ~config:small_config
-      "<doc><a k=\"v\">alpha</a><b>42</b><c><d>nested</d> tail</c></doc>"
+    Db.of_store ~config:small_config
+      (Parser.parse_exn
+         "<doc><a k=\"v\">alpha</a><b>42</b><c><d>nested</d> tail</c></doc>")
   in
   match Fault.sweep ~all_offsets:true db with
   | Error m -> Alcotest.fail m
@@ -164,7 +169,9 @@ let test_fault_sweep_default_config () =
   (* the realistic snapshot (double + datetime SCTs, marshalled tables)
      with the truncation sweep sampled down to tier-1 size *)
   let db =
-    Db.of_xml_exn "<doc><a ts=\"2009-03-24T12:00:00Z\">1.5</a><b>two</b></doc>"
+    Db.of_store
+      (Parser.parse_exn
+         "<doc><a ts=\"2009-03-24T12:00:00Z\">1.5</a><b>two</b></doc>")
   in
   match Fault.sweep ~truncations:512 ~flips:256 db with
   | Error m -> Alcotest.fail m

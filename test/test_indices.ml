@@ -230,7 +230,7 @@ let test_fragment_mode () =
 let random_db seed =
   let factor = 0.02 +. (0.01 *. float_of_int (seed mod 3)) in
   let xml = Xvi_workload.Xmark.generate ~seed ~factor () in
-  Db.of_xml_exn xml
+  Db.of_store (Parser.parse_exn xml)
 
 let test_db_random_update_storm () =
   let db = random_db 11 in
@@ -323,7 +323,7 @@ let test_db_boolean_integer_indices () =
   let config =
     { Db.Config.default with Db.Config.types = [ LT.boolean (); LT.integer () ] }
   in
-  let db = Db.of_xml_exn ~config xml in
+  let db = Db.of_store ~config (Parser.parse_exn xml) in
   Alcotest.(check int) "true nodes" 4
     (List.length (Db.lookup_typed db "xs:boolean" (Db.Range.between 1.0 1.0)))
   (* "true" text + element, "1" text + element *);
@@ -445,8 +445,9 @@ let test_substring_random_docs () =
 
 let test_substring_maintenance () =
   let db =
-    Db.of_xml_exn ~config:{ Db.Config.default with Db.Config.substring = true }
-      "<a><b>hello world</b><c>numbers 123</c><d att=\"needle here\"/></a>"
+    Db.of_store ~config:{ Db.Config.default with Db.Config.substring = true }
+      (Parser.parse_exn
+         "<a><b>hello world</b><c>numbers 123</c><d att=\"needle here\"/></a>")
   in
   let store = Db.store db in
   Alcotest.(check int) "needle found" 1
@@ -487,7 +488,8 @@ let test_xpath_contains () =
      <book><title>Dirk Gently</title></book></lib>"
   in
   let db =
-    Db.of_xml_exn ~config:{ Db.Config.default with Db.Config.substring = true } xml
+    Db.of_store ~config:{ Db.Config.default with Db.Config.substring = true }
+      (Parser.parse_exn xml)
   in
   let store = Db.store db in
   let q = Xvi_xpath.Xpath.parse_exn "//book[contains(title, \"Harm\")]" in
@@ -496,7 +498,7 @@ let test_xpath_contains () =
   Alcotest.(check bool) "naive = indexed" true (naive = fast);
   Alcotest.(check int) "one book" 1 (List.length naive);
   (* without the substring index the indexed evaluator falls back *)
-  let db2 = Db.of_xml_exn xml in
+  let db2 = Db.of_store (Parser.parse_exn xml) in
   let fast2 = Xvi_xpath.Xpath.eval_indexed db2 q in
   Alcotest.(check bool) "fallback agrees" true (naive = fast2)
 
@@ -525,7 +527,7 @@ let test_name_index_basics () =
   Alcotest.(check (list int)) "unknown" [] (NI.nodes ni store "nope")
 
 let test_name_index_maintenance () =
-  let db = Db.of_xml_exn "<a><b>x</b><b>y</b><c/></a>" in
+  let db = Db.of_store (Parser.parse_exn "<a><b>x</b><b>y</b><c/></a>") in
   let ni = Db.name_index db in
   let store = Db.store db in
   Alcotest.(check int) "two b" 2 (NI.count ni store "b");

@@ -134,11 +134,11 @@ let test_parallel_edge_docs () =
 
 let test_db_parallel_build_and_update () =
   let xml = Xvi_workload.Xmark.generate ~seed:77 ~factor:0.01 () in
-  let serial = Db.of_xml_exn xml in
+  let serial = Db.of_store (Parser.parse_exn xml) in
   List.iter
     (fun jobs ->
       let config = { Db.Config.default with Db.Config.jobs } in
-      let db = Db.of_xml_exn ~config xml in
+      let db = Db.of_store ~config (Parser.parse_exn xml) in
       let store = Db.store db in
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d stored config" jobs)
@@ -169,7 +169,7 @@ let test_db_parallel_build_and_update () =
 
 let test_range_constructors () =
   let xml = "<r><a>1</a><b>5</b><c>9</c></r>" in
-  let db = Db.of_xml_exn xml in
+  let db = Db.of_store (Parser.parse_exn xml) in
   let count r = List.length (Db.lookup_double db r) in
   (* each value hits a text node and its element parent; <r> and the
      document node concatenate to "159", itself a complete double *)
@@ -229,11 +229,11 @@ let test_pool_slices () =
 
 let test_config_construction () =
   let xml = "<r><a>1.5</a><b>hello</b><c at=\"7\">x</c></r>" in
-  let db = Db.of_xml_exn xml in
+  let db = Db.of_store (Parser.parse_exn xml) in
   let custom =
-    Db.of_xml_exn
+    Db.of_store
       ~config:{ Db.Config.default with Db.Config.substring = true }
-      xml
+      (Parser.parse_exn xml)
   in
   Alcotest.(check (list int))
     "custom-config lookup_double = default"
@@ -253,7 +253,7 @@ let test_config_construction () =
 
 let test_snapshot_load_with_config () =
   let xml = Xvi_workload.Xmark.generate ~seed:5 ~factor:0.005 () in
-  let db = Db.of_xml_exn xml in
+  let db = Db.of_store (Parser.parse_exn xml) in
   let path = Filename.temp_file "xvi_parallel" ".snap" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

@@ -112,8 +112,9 @@ let test_staircase_joins () =
 
 let test_scoped_lookups () =
   let db =
-    Db.of_xml_exn
-      "<site><a><x>42</x><y>hello</y></a><b><x>42</x><y>hello</y><z>7</z></b></site>"
+    Db.of_store
+      (Parser.parse_exn
+         "<site><a><x>42</x><y>hello</y></a><b><x>42</x><y>hello</y><z>7</z></b></site>")
   in
   let store = Db.store db in
   let b =
@@ -138,7 +139,7 @@ let test_scoped_lookups () =
     (List.mem z (Db.lookup_double_within db ~scope:z (Db.Range.between 7.0 7.0)))
 
 let test_plane_invalidation () =
-  let db = Db.of_xml_exn "<a><b>one</b><c>two</c></a>" in
+  let db = Db.of_store (Parser.parse_exn "<a><b>one</b><c>two</c></a>") in
   let store = Db.store db in
   let p1 = Db.plane db in
   Alcotest.(check bool) "cached" true (p1 == Db.plane db);

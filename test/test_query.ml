@@ -7,6 +7,7 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Ir = Db.Ir
 module Cursor = Xvi_query.Cursor
 module Oracle = Xvi_check.Oracle
@@ -18,7 +19,7 @@ let doc =
    <shelf id=\"s2\"><book><title>Dune</title><price>11</price></book>\
    <note>empty shelf soon</note></shelf></lib>"
 
-let mkdb ?config () = Db.of_xml_exn ?config doc
+let mkdb ?config () = Db.of_store ?config (Parser.parse_exn doc)
 
 (* --- cursor primitives --- *)
 
@@ -80,7 +81,7 @@ let test_collision_no_false_positives () =
         (List.map (fun u -> "<u>" ^ u ^ "</u>") (urls @ [ a ]))
     ^ "</d>"
   in
-  let db = Db.of_xml_exn xml in
+  let db = Db.of_store (Parser.parse_exn xml) in
   let store = Db.store db in
   Alcotest.(check (list int)) "eq a = oracle"
     (Oracle.lookup_string store a)
@@ -164,7 +165,7 @@ let test_or_doc_order_after_insert () =
   let shelf1 = List.hd (Db.elements_named db "shelf") in
   (match Db.insert_xml db ~parent:shelf1 "<book><title>Ubik</title></book>" with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "insert: %s" (Xvi_xml.Parser.error_to_string e));
+  | Error e -> Alcotest.failf "insert: %s" (Parser.error_to_string e));
   let ir = Ir.disj [ Ir.string_eq "Ubik"; Ir.string_eq "Dune" ] in
   let hits = Db.query db ir in
   Alcotest.(check (list int)) "or matches the oracle's document order"

@@ -6,6 +6,7 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Wal = Xvi_wal.Wal
 module Engine = Xvi_serve.Engine
 module Server = Xvi_serve.Server
@@ -64,7 +65,8 @@ let test_follower_catch_up_and_promote () =
       let fdir = Filename.concat root "follower" in
       let leader =
         ok_exn "init leader"
-          (Engine.init ~sync_mode:Wal.Always ~dir:ldir (Db.of_xml_exn small_xml))
+          (Engine.init ~sync_mode:Wal.Always ~dir:ldir
+             (Db.of_store (Parser.parse_exn small_xml)))
       in
       Fun.protect
         ~finally:(fun () -> Engine.close leader)
@@ -138,7 +140,8 @@ let test_rejoin_truncates_divergent_tail () =
       let fdir = Filename.concat root "follower" in
       let leader =
         ok_exn "init leader"
-          (Engine.init ~sync_mode:Wal.Always ~dir:ldir (Db.of_xml_exn small_xml))
+          (Engine.init ~sync_mode:Wal.Always ~dir:ldir
+             (Db.of_store (Parser.parse_exn small_xml)))
       in
       let t0 = first_text (Engine.snapshot leader) in
       ignore (ok_exn "shared" (Engine.update_texts leader [ (t0, "shared") ]) : int);
@@ -195,7 +198,8 @@ let test_sockets_and_failover () =
       let fsock = Filename.concat root "f.sock" in
       let leader =
         ok_exn "init leader"
-          (Engine.init ~sync_mode:Wal.Always ~dir:ldir (Db.of_xml_exn small_xml))
+          (Engine.init ~sync_mode:Wal.Always ~dir:ldir
+             (Db.of_store (Parser.parse_exn small_xml)))
       in
       let t0 = first_text (Engine.snapshot leader) in
       let lserver =
@@ -331,7 +335,8 @@ let test_route_prefers_followers () =
       let fsock = Filename.concat root "f.sock" in
       let leader =
         ok_exn "init leader"
-          (Engine.init ~sync_mode:Wal.Always ~dir:ldir (Db.of_xml_exn small_xml))
+          (Engine.init ~sync_mode:Wal.Always ~dir:ldir
+             (Db.of_store (Parser.parse_exn small_xml)))
       in
       let t0 = first_text (Engine.snapshot leader) in
       ignore (ok_exn "seed" (Engine.update_texts leader [ (t0, "routed") ]) : int);
@@ -400,7 +405,7 @@ let test_route_prefers_followers () =
 (* --- the replication fault sweep (quick caps) ----------------------- *)
 
 let test_repl_sweep_quick () =
-  let db = Db.of_xml_exn small_xml in
+  let db = Db.of_store (Parser.parse_exn small_xml) in
   let texts = Store.text_nodes (Db.store db) in
   let t i = texts.(i) in
   let batches =

@@ -5,6 +5,7 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Txn = Xvi_txn.Txn
 module Engine = Xvi_serve.Engine
 module Session = Xvi_serve.Session
@@ -41,7 +42,8 @@ let ok_exn what = function
 let with_mem_engine ?publish_period xml f =
   let engine =
     ok_exn "open memory engine"
-      (Engine.open_ ?publish_period (Engine.Memory (Db.of_xml_exn xml)))
+      (Engine.open_ ?publish_period
+         (Engine.Memory (Db.of_store (Parser.parse_exn xml))))
   in
   Fun.protect ~finally:(fun () -> Engine.close engine) (fun () -> f engine)
 
@@ -490,7 +492,8 @@ let test_engine_structural () =
 
 let test_engine_closed () =
   let engine =
-    ok_exn "open" (Engine.open_ (Engine.Memory (Db.of_xml_exn small_xml)))
+    ok_exn "open"
+      (Engine.open_ (Engine.Memory (Db.of_store (Parser.parse_exn small_xml))))
   in
   let t0 = first_text (Engine.snapshot engine) in
   Engine.close engine;
@@ -508,12 +511,12 @@ let test_engine_durable_roundtrip () =
       let dir = Filename.concat root "store" in
       let engine =
         ok_exn "init"
-          (Engine.init ~dir (Db.of_xml_exn small_xml))
+          (Engine.init ~dir (Db.of_store (Parser.parse_exn small_xml)))
       in
       let t0 = first_text (Engine.snapshot engine) in
       ignore (ok_exn "update" (Engine.update_texts engine [ (t0, "durable") ]) : int);
       (* a second init without force must refuse the populated dir *)
-      (match Engine.init ~dir (Db.of_xml_exn small_xml) with
+      (match Engine.init ~dir (Db.of_store (Parser.parse_exn small_xml)) with
       | Error (Engine.Invalid _) -> ()
       | Error e ->
           Alcotest.failf "wanted Invalid, got %s" (Engine.error_to_string e)
@@ -813,7 +816,7 @@ let qcheck_concurrent =
       | Error m -> QCheck.Test.fail_report m)
 
 let test_serve_sweep () =
-  let db = Db.of_xml_exn small_xml in
+  let db = Db.of_store (Parser.parse_exn small_xml) in
   let texts = texts_of db in
   let t i = texts.(i) in
   let batches =

@@ -3,6 +3,7 @@
    files are rejected cleanly. *)
 
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Snapshot = Xvi_core.Snapshot
 module Store = Xvi_xml.Store
 
@@ -14,9 +15,9 @@ let test_roundtrip () =
   with_temp (fun path ->
       let xml = Xvi_workload.Xmark.generate ~seed:31 ~factor:0.01 () in
       let db =
-        Db.of_xml_exn
+        Db.of_store
           ~config:{ Db.Config.default with Db.Config.substring = true }
-          xml
+          (Parser.parse_exn xml)
       in
       Snapshot.save db path;
       Alcotest.(check bool) "is_snapshot" true (Snapshot.is_snapshot path);
@@ -40,7 +41,9 @@ let test_roundtrip () =
 
 let test_reloaded_updates () =
   with_temp (fun path ->
-      let db = Db.of_xml_exn "<a><b>old value</b><c>7.5</c></a>" in
+      let db =
+        Db.of_store (Parser.parse_exn "<a><b>old value</b><c>7.5</c></a>")
+      in
       Snapshot.save db path;
       let db2 = Snapshot.load_exn path in
       let store = Store.text_nodes (Db.store db2) in
@@ -68,7 +71,7 @@ let test_rejects_garbage () =
 
 let test_rejects_fingerprint_mismatch () =
   with_temp (fun path ->
-      let db = Db.of_xml_exn "<a>x</a>" in
+      let db = Db.of_store (Parser.parse_exn "<a>x</a>") in
       Snapshot.save db path;
       (* flip a byte inside the fingerprint line *)
       let content =

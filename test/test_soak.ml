@@ -74,7 +74,8 @@ let test_fuzz_xpath () =
 let soak ~seed ~rounds ~substring =
   let xml = Xvi_workload.Xmark.generate ~seed ~factor:0.008 () in
   let db =
-    Db.of_xml_exn ~config:{ Db.Config.default with Db.Config.substring } xml
+    Db.of_store ~config:{ Db.Config.default with Db.Config.substring }
+      (Parser.parse_exn xml)
   in
   let store = Db.store db in
   let rng = Prng.create (seed * 31) in
@@ -158,7 +159,8 @@ let test_soak_fragment_mode () =
 let test_random_queries () =
   let xml = Xvi_workload.Xmark.generate ~seed:51 ~factor:0.01 () in
   let db =
-    Db.of_xml_exn ~config:{ Db.Config.default with Db.Config.substring = true } xml
+    Db.of_store ~config:{ Db.Config.default with Db.Config.substring = true }
+      (Parser.parse_exn xml)
   in
   let store = Db.store db in
   let rng = Prng.create 5151 in

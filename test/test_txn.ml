@@ -4,11 +4,13 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Txn = Xvi_txn.Txn
 module Prng = Xvi_util.Prng
 
 let fresh_db seed =
-  Db.of_xml_exn (Xvi_workload.Xmark.generate ~seed ~factor:0.01 ())
+  Db.of_store
+    (Parser.parse_exn (Xvi_workload.Xmark.generate ~seed ~factor:0.01 ()))
 
 let ok = function
   | Ok () -> ()
@@ -79,7 +81,7 @@ let test_no_conflict_on_shared_ancestors () =
   (* two transactions updating different children of the same parent —
      both touch the same ancestors, neither conflicts (the paper's
      no-ancestor-locks claim) *)
-  let db = Db.of_xml_exn "<a><b>x</b><c>y</c></a>" in
+  let db = Db.of_store (Parser.parse_exn "<a><b>x</b><c>y</c></a>") in
   let mgr = Txn.manager db in
   let texts = Store.text_nodes (Db.store db) in
   let t1 = Txn.begin_ mgr and t2 = Txn.begin_ mgr in
@@ -184,7 +186,7 @@ let test_structural_delete_conflicts () =
   (* Db.delete_subtree bypasses the version table; the commit-time kind
      re-check must catch a write whose node was tombstoned after
      update_text validated it *)
-  let db = Db.of_xml_exn "<a><b>x</b><c>y</c></a>" in
+  let db = Db.of_store (Parser.parse_exn "<a><b>x</b><c>y</c></a>") in
   let mgr = Txn.manager db in
   let store = Db.store db in
   let texts = Store.text_nodes store in

@@ -4,6 +4,7 @@
 
 module Store = Xvi_xml.Store
 module Db = Xvi_core.Db
+module Parser = Xvi_xml.Parser
 module Snapshot = Xvi_core.Snapshot
 module Txn = Xvi_txn.Txn
 module Wal = Xvi_wal.Wal
@@ -364,7 +365,7 @@ let test_sync_mode_strings () =
 let test_snapshot_lsn_roundtrip () =
   with_dir (fun dir ->
       let path = Filename.concat dir "s.xvi" in
-      let db = Db.of_xml_exn "<a><b>x</b></a>" in
+      let db = Db.of_store (Parser.parse_exn "<a><b>x</b></a>") in
       Snapshot.save ~lsn:42 db path;
       (match Snapshot.load_with_lsn path with
       | Ok (_, lsn) -> Alcotest.(check int) "lsn stamped" 42 lsn
@@ -378,9 +379,14 @@ let test_snapshot_lsn_roundtrip () =
 
 let small_xml = "<doc><a>alpha</a><b>beta</b><c n=\"7\">gamma</c></doc>"
 
+let reopen dir =
+  match Durable.open_ dir with
+  | Ok t -> t
+  | Error m -> Alcotest.failf "Durable.open_: %s" m
+
 let test_durable_recovery_idempotent () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let texts = Store.text_nodes (Db.store db) in
       let t = Durable.create ~dir db in
       (match Durable.update_texts t [ (texts.(0), "one"); (texts.(1), "two") ] with
@@ -391,31 +397,31 @@ let test_durable_recovery_idempotent () =
       | Error c -> Alcotest.failf "commit conflicted: %s" c.Txn.reason);
       (match Durable.insert_xml t ~parent:Store.document "<tail>end</tail>" with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "insert: %s" (Xvi_xml.Parser.error_to_string e));
+      | Error e -> Alcotest.failf "insert: %s" (Parser.error_to_string e));
       let live_fp = content_fingerprint (Durable.db t) in
       Durable.close t;
-      let r1 = Durable.open_exn dir in
+      let r1 = reopen dir in
       let d1 = db_digest (Durable.db r1) in
       (match Durable.last_replay r1 with
       | Some rep ->
           Alcotest.(check int) "replayed txns" 3 rep.Wal.stats.Wal.applied_txns
       | None -> Alcotest.fail "no replay report");
       Durable.close r1;
-      let r2 = Durable.open_exn dir in
+      let r2 = reopen dir in
       let d2 = db_digest (Durable.db r2) in
       Durable.close r2;
       Alcotest.(check bool) "recovery matches live content" true
         (content_fingerprint (Durable.db r2) = live_fp);
       Alcotest.(check bool) "double recovery bit-identical" true (d1 = d2);
       (* the recovered store answers queries *)
-      let r3 = Durable.open_exn dir in
+      let r3 = reopen dir in
       Alcotest.(check bool) "query works" true
         (Db.lookup_string (Durable.db r3) "one" <> []);
       Durable.close r3)
 
 let test_durable_rejects_validation_errors () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let t = Durable.create ~dir db in
       (match Durable.insert_xml t ~parent:Store.document "<unclosed" with
       | Error _ -> ()
@@ -434,7 +440,7 @@ let test_durable_rejects_validation_errors () =
    open of the directory fail. *)
 let test_insert_parent_validated () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let store = Db.store db in
       let texts = Store.text_nodes store in
       let t = Durable.create ~dir db in
@@ -467,7 +473,7 @@ let test_insert_parent_validated () =
       let live_fp = content_fingerprint (Durable.db t) in
       Durable.close t;
       (* the log replays cleanly: no doomed record ever got in *)
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       Alcotest.(check bool) "recovery intact" true
         (content_fingerprint (Durable.db r) = live_fp);
       Durable.close r)
@@ -477,7 +483,7 @@ let test_insert_parent_validated () =
    durability hook logs anything. *)
 let test_delete_bypass_is_conflict () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let store = Db.store db in
       let texts = Store.text_nodes store in
       let t = Durable.create ~dir db in
@@ -501,28 +507,30 @@ let test_delete_bypass_is_conflict () =
         (Durable.stats t).Durable.wal_bytes;
       let live_fp = content_fingerprint (Durable.db t) in
       Durable.close t;
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       Alcotest.(check bool) "recovery intact after conflict" true
         (content_fingerprint (Durable.db r) = live_fp);
       Durable.close r)
 
 let test_create_refuses_existing () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       Durable.close (Durable.create ~dir db);
-      (match Durable.create ~dir (Db.of_xml_exn "<other/>") with
+      (match Durable.create ~dir (Db.of_store (Parser.parse_exn "<other/>")) with
       | exception Invalid_argument _ -> ()
       | t ->
           Durable.close t;
           Alcotest.fail "create silently overwrote a durable directory");
       (* the data survived the refused attempt *)
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       Alcotest.(check bool) "original store intact" true
         (Db.lookup_string (Durable.db r) "alpha" <> []);
       Durable.close r;
-      let t = Durable.create ~force:true ~dir (Db.of_xml_exn "<other/>") in
+      let t =
+        Durable.create ~force:true ~dir (Db.of_store (Parser.parse_exn "<other/>"))
+      in
       Durable.close t;
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       Alcotest.(check bool) "force overwrote" true
         (Db.lookup_string (Durable.db r) "alpha" = []);
       Durable.close r)
@@ -533,7 +541,7 @@ let test_create_refuses_existing () =
    close. *)
 let test_group_window_flush_on_append () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let texts = Store.text_nodes (Db.store db) in
       let t = Durable.create ~sync_mode:(Wal.Group 0.005) ~dir db in
       (match Durable.update_text t texts.(0) "one" with
@@ -551,7 +559,7 @@ let test_group_window_flush_on_append () =
 
 let test_group_commit_observable () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let texts = Store.text_nodes (Db.store db) in
       (* a very wide window: every commit inside it is deferred *)
       let t = Durable.create ~sync_mode:(Wal.Group 60.0) ~dir db in
@@ -573,7 +581,7 @@ let test_group_commit_observable () =
       Durable.close t;
       (* Always: every commit syncs inline *)
       let dir2 = Filename.concat dir "always" in
-      let db2 = Db.of_xml_exn small_xml in
+      let db2 = Db.of_store (Parser.parse_exn small_xml) in
       let texts2 = Store.text_nodes (Db.store db2) in
       let t2 = Durable.create ~sync_mode:Wal.Always ~dir:dir2 db2 in
       for i = 1 to 3 do
@@ -592,7 +600,7 @@ let test_group_commit_observable () =
 
 let test_checkpoint_truncates () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let texts = Store.text_nodes (Db.store db) in
       let t = Durable.create ~dir db in
       for i = 1 to 10 do
@@ -609,7 +617,7 @@ let test_checkpoint_truncates () =
       let lsn_before = st.Durable.next_lsn in
       Durable.close t;
       (* recovery after a checkpoint applies nothing and keeps state *)
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       (match Durable.last_replay r with
       | Some rep ->
           Alcotest.(check int) "nothing replayed" 0
@@ -626,7 +634,7 @@ let test_checkpoint_truncates () =
 
 let test_auto_checkpoint () =
   with_dir (fun dir ->
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let texts = Store.text_nodes (Db.store db) in
       let t = Durable.create ~auto_checkpoint_bytes:256 ~dir db in
       for i = 1 to 50 do
@@ -643,7 +651,7 @@ let test_auto_checkpoint () =
       Alcotest.(check bool) "log stayed bounded" true
         (st.Durable.wal_bytes < 4096);
       Durable.close t;
-      let r = Durable.open_exn dir in
+      let r = reopen dir in
       Alcotest.(check string) "state survives auto-checkpoints" "padding padding padding 50"
         (Store.text (Db.store (Durable.db r)) texts.(0));
       Durable.close r)
@@ -653,7 +661,7 @@ let test_open_missing_and_damaged () =
       (match Durable.open_ (Filename.concat dir "nowhere") with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "opened a missing directory");
-      let db = Db.of_xml_exn small_xml in
+      let db = Db.of_store (Parser.parse_exn small_xml) in
       let t = Durable.create ~dir db in
       Durable.close t;
       Alcotest.(check bool) "is_durable_dir" true (Durable.is_durable_dir dir);
@@ -668,7 +676,7 @@ let test_open_missing_and_damaged () =
 (* --- the full crash-point sweep --- *)
 
 let test_wal_sweep () =
-  let db = Db.of_xml_exn small_xml in
+  let db = Db.of_store (Parser.parse_exn small_xml) in
   let texts = Store.text_nodes (Db.store db) in
   let batches =
     [

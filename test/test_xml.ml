@@ -263,7 +263,7 @@ let test_compact () =
   Alcotest.(check (option int)) "out of range" None (map 99_999)
 
 let test_db_compact () =
-  let db = Xvi_core.Db.of_xml_exn person_doc in
+  let db = Xvi_core.Db.of_store (Parser.parse_exn person_doc) in
   let store = Xvi_core.Db.store db in
   let person =
     Option.get (Store.first_child store Store.document)

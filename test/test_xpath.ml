@@ -19,7 +19,7 @@ let site_doc =
    <item code=\"b\"><price>15</price></item>\
    <item code=\"c\"><price>60</price></item></items></site>"
 
-let db = lazy (Db.of_xml_exn site_doc)
+let db = lazy (Db.of_store (Parser.parse_exn site_doc))
 
 let eval_names expr =
   let d = Lazy.force db in
@@ -146,7 +146,7 @@ let test_equivalence_on_datasets () =
     ]
   in
   let xml = Xvi_workload.Xmark.generate ~seed:5 ~factor:0.03 () in
-  let d = Db.of_xml_exn xml in
+  let d = Db.of_store (Parser.parse_exn xml) in
   let store = Db.store d in
   List.iter
     (fun q ->
